@@ -110,14 +110,21 @@ cargo test --workspace -q
 
 # Determinism matrix: the kernels, engine, and golden snapshots must produce
 # identical results for every worker count at every SIMD dispatch level.
-# `scalar` pins the reference numerics; `native` resolves the widest ISA the
-# host offers (AVX2+FMA where available, the portable wide path otherwise).
-for isa in scalar native; do
+# `scalar` pins the reference numerics; `wide` runs the portable 8-lane
+# kernels, which claim bitwise equality with `scalar`; `native` resolves the
+# widest ISA the host offers (AVX2+FMA where available, the portable wide
+# path otherwise).
+for isa in scalar wide native; do
   for t in 1 4; do
     echo "==> cargo test -p tcl-tensor -p tcl-snn --tests (TCL_SIMD=$isa TCL_THREADS=$t)"
     TCL_SIMD=$isa TCL_THREADS=$t cargo test -q -p tcl-tensor -p tcl-snn --tests
   done
 done
+
+# The pipeline benchmark is a package of its own (outside the workspace);
+# its tests pin the workload definitions, metric plumbing and checks.
+echo "==> cargo test --manifest-path pipeline_bench/Cargo.toml"
+cargo test --release --offline -q --manifest-path pipeline_bench/Cargo.toml
 
 elapsed=$(( $(date +%s) - test_start ))
 budget="${TCL_TEST_BUDGET_S:-1200}"

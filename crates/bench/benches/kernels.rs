@@ -174,6 +174,18 @@ fn bench_conv2d(c: &mut Criterion) {
     c.bench_function("conv2d_backward_8x8x16x16", |bench| {
         bench.iter(|| ops::conv2d_backward(&x, &w, &gout, geom).unwrap())
     });
+    // VGG-16 stage-4 and stage-5 convs as one engine worker runs them:
+    // batch 50, 64 -> 64 channels, 2x2 and 1x1 output planes, serial. One
+    // sample's plane is narrower than a GEBP tile, so these rows measure
+    // the batch fold.
+    let w = rng.uniform_tensor([64, 64, 3, 3], -0.1, 0.1);
+    let bias = rng.uniform_tensor([64], -0.1, 0.1);
+    for hw in [2, 1] {
+        let x = rng.uniform_tensor([50, 64, hw, hw], 0.0, 1.0);
+        c.bench_function(&format!("conv2d_b50_64x64x{hw}x{hw}_serial"), |bench| {
+            bench.iter(|| par::with_serial(|| ops::conv2d(&x, &w, Some(&bias), geom).unwrap()))
+        });
+    }
 }
 
 fn bench_ann_forward(c: &mut Criterion) {

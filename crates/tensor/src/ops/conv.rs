@@ -6,13 +6,17 @@
 //! product. The backward pass reuses the same lowering: `col2im` is the exact
 //! adjoint of `im2col` (a property-tested invariant), which makes input
 //! gradients a transpose-product followed by re-folding.
+//!
+//! The forward pass folds the batch into the product's columns (see
+//! [`conv2d`]): alone, one sample's 2×2 or 1×1 output plane is narrower than
+//! the 16-column GEBP tile, and the matmul would fall back to scalar saxpy.
 
 use crate::error::{Result, TensorError};
 use crate::ops::matmul::{matmul_into, transpose_into};
-use crate::par;
-use crate::par::min_items_per_worker;
+use crate::par::{self, min_items_per_worker};
 use crate::tensor::Tensor;
 use serde::{Deserialize, Serialize};
+use tcl_simd::kernels::NR;
 
 /// Geometry of a 2-D convolution: kernel size, stride, and symmetric zero
 /// padding.
@@ -115,11 +119,34 @@ pub fn im2col_single(
     cols: &mut [f32],
 ) {
     let col_width = out_h * out_w;
-    debug_assert_eq!(input.len(), channels * in_h * in_w);
     debug_assert_eq!(
         cols.len(),
         channels * geom.kernel_h * geom.kernel_w * col_width
     );
+    im2col_strided(
+        input, channels, in_h, in_w, geom, out_h, out_w, cols, col_width, 0,
+    );
+}
+
+/// [`im2col_single`] into columns `col0..col0 + out_h·out_w` of a wider
+/// row-major block whose rows are `ld` apart, so the images of a chunk
+/// unroll side by side into one product operand without a staging copy.
+#[allow(clippy::too_many_arguments)] // geometry is explicit by design in the hot path
+fn im2col_strided(
+    input: &[f32],
+    channels: usize,
+    in_h: usize,
+    in_w: usize,
+    geom: ConvGeometry,
+    out_h: usize,
+    out_w: usize,
+    cols: &mut [f32],
+    ld: usize,
+    col0: usize,
+) {
+    let col_width = out_h * out_w;
+    debug_assert_eq!(input.len(), channels * in_h * in_w);
+    debug_assert!(col0 + col_width <= ld);
     let pad = geom.padding as isize;
     let stride = geom.stride;
     let mut row = 0usize;
@@ -127,7 +154,7 @@ pub fn im2col_single(
         let plane = &input[c * in_h * in_w..(c + 1) * in_h * in_w];
         for kh in 0..geom.kernel_h {
             for kw in 0..geom.kernel_w {
-                let dst = &mut cols[row * col_width..(row + 1) * col_width];
+                let dst = &mut cols[row * ld + col0..row * ld + col0 + col_width];
                 let mut idx = 0usize;
                 for oh in 0..out_h {
                     let ih = oh as isize * stride as isize + kh as isize - pad;
@@ -207,6 +234,12 @@ pub fn col2im_single(
     }
 }
 
+/// Widest folded product of the forward pass: sixteen `NR`-column GEBP
+/// tiles. The cap keeps each worker's im2col block a few hundred KB;
+/// folding a whole batch at once grows it with the batch and shows in peak
+/// RSS.
+const FOLD_COLS: usize = 16 * NR;
+
 /// Forward 2-D convolution.
 ///
 /// * `input` — `[N, C, H, W]`
@@ -214,6 +247,17 @@ pub fn col2im_single(
 /// * `bias` — optional `[O]`
 ///
 /// Returns `[N, O, out_h, out_w]`.
+///
+/// The batch is lowered in folded chunks: each worker's run of samples is
+/// cut into chunks of up to `⌊256 / (out_h·out_w)⌋` samples, a chunk's
+/// samples are unrolled side by side into one `[C·kh·kw, chunk·out_h·out_w]`
+/// block, and one product covers the chunk. The block width is rounded up
+/// to a whole number of 16-column GEBP tiles with zero columns, so every
+/// output element comes out of a full tile at every SIMD level: its bits do
+/// not depend on the batch it shares, on where chunks are cut, or on the
+/// thread count. Each element still accumulates over `C·kh·kw` in the
+/// per-sample order, so `Scalar`/`Wide` results equal a per-sample lowering
+/// bitwise.
 ///
 /// # Errors
 ///
@@ -275,16 +319,21 @@ pub fn conv2d(
             ("out_w", out_w as f64),
         ]
     });
-    let col_rows = c * kh * kw;
-    let col_width = out_h * out_w;
     let mut out = Tensor::zeros([n, out_c, out_h, out_w]);
+    if out.is_empty() {
+        return Ok(out);
+    }
+    let col_rows = c * kh * kw;
+    let plane = out_h * out_w;
     let item_in = c * h * w;
-    let item_out = out_c * out_h * out_w;
+    let item_out = out_c * plane;
+    let fold = (FOLD_COLS / plane).max(1);
     // Batch items write disjoint output slices, so they fan out across
-    // threads; each worker keeps a private im2col buffer. Inside a worker
-    // the matmul stays serial (nested fan-out is suppressed), while a
-    // single-worker run lets the matmul parallelize over rows instead.
-    let min_items = min_items_per_worker(out_c * col_rows * col_width);
+    // threads; each worker folds its run chunk by chunk into a private
+    // im2col block. Inside a worker the matmul stays serial (nested fan-out
+    // is suppressed), while a single-worker run lets the matmul parallelize
+    // over rows instead.
+    let min_items = min_items_per_worker(out_c * col_rows * plane);
     par::par_items_mut(
         par::current(),
         out.data_mut(),
@@ -292,16 +341,53 @@ pub fn conv2d(
         1,
         min_items,
         |first_item, run| {
-            let mut cols = vec![0.0f32; col_rows * col_width];
-            for (i, dst) in run.chunks_exact_mut(item_out.max(1)).enumerate() {
-                let ni = first_item + i;
-                let src = &input.data()[ni * item_in..(ni + 1) * item_in];
-                im2col_single(src, c, h, w, geom, out_h, out_w, &mut cols);
-                matmul_into(weight.data(), &cols, dst, out_c, col_rows, col_width);
-                if let Some(b) = bias {
-                    for (o, &bv) in b.data().iter().enumerate() {
-                        for v in dst[o * col_width..(o + 1) * col_width].iter_mut() {
-                            *v += bv;
+            let run_items = run.len() / item_out;
+            let max_ld = (fold.min(run_items) * plane).next_multiple_of(NR);
+            let mut cols = vec![0.0f32; col_rows * max_ld];
+            let mut product = Vec::new();
+            for (ci, dst) in run.chunks_mut(fold * item_out).enumerate() {
+                let first = first_item + ci * fold;
+                let chunk = dst.len() / item_out;
+                let width = chunk * plane;
+                // Zero pad columns round the product up to whole tiles.
+                let ld = width.next_multiple_of(NR);
+                let cols = &mut cols[..col_rows * ld];
+                let src = &input.data()[first * item_in..(first + chunk) * item_in];
+                for (s, image) in src.chunks_exact(item_in.max(1)).enumerate() {
+                    im2col_strided(image, c, h, w, geom, out_h, out_w, cols, ld, s * plane);
+                }
+                for row in cols.chunks_exact_mut(ld) {
+                    row[width..].fill(0.0);
+                }
+                if ld == plane {
+                    // One sample whose plane is already whole tiles: its
+                    // `[O, out_h·out_w]` product is its NCHW output.
+                    matmul_into(weight.data(), cols, dst, out_c, col_rows, ld);
+                    if let Some(b) = bias {
+                        for (out_plane, &bv) in dst.chunks_exact_mut(plane).zip(b.data()) {
+                            for v in out_plane {
+                                *v += bv;
+                            }
+                        }
+                    }
+                    continue;
+                }
+                product.clear();
+                product.resize(out_c * ld, 0.0);
+                matmul_into(weight.data(), cols, &mut product, out_c, col_rows, ld);
+                // Scatter the `[O, chunk·plane]` product back to NCHW order,
+                // adding the bias on the way.
+                for (s, item) in dst.chunks_exact_mut(item_out).enumerate() {
+                    for (o, out_plane) in item.chunks_exact_mut(plane).enumerate() {
+                        let folded = &product[o * ld + s * plane..][..plane];
+                        match bias {
+                            Some(b) => {
+                                let bv = b.data()[o];
+                                for (v, &p) in out_plane.iter_mut().zip(folded) {
+                                    *v = p + bv;
+                                }
+                            }
+                            None => out_plane.copy_from_slice(folded),
                         }
                     }
                 }
